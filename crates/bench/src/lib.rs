@@ -5,7 +5,46 @@
 //! formats consistent: fixed-width text tables that can be diffed across
 //! runs and pasted into EXPERIMENTS.md.
 
+use mmdb_session::{CommitPolicy, Engine, EngineOptions};
 use std::fmt::Display;
+use std::time::Duration;
+
+/// Opening balance of every account in the §5 banking experiments.
+pub const OPENING_BALANCE: i64 = 1_000;
+
+/// Engine options for the §5 log experiments (R2, R3): group commit in
+/// a fresh scratch directory named after `name`, no modeled page-write
+/// latency, and a group timeout long enough that the daemon cuts only
+/// full pages until an explicit [`Engine::flush`].
+pub fn banking_options(name: &str) -> EngineOptions {
+    let dir = std::env::temp_dir().join(format!("mmdb-bench-{name}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    EngineOptions::new(CommitPolicy::Group, dir)
+        .with_page_write_latency(Duration::ZERO)
+        .with_flush_interval(Duration::from_secs(3600))
+}
+
+/// Starts an engine on `options` and opens `accounts` accounts at
+/// [`OPENING_BALANCE`] in one committed transaction.
+pub fn open_bank(options: EngineOptions, accounts: u64) -> mmdb_types::Result<Engine> {
+    let engine = Engine::start(options)?;
+    let session = engine.session();
+    let txn = session.begin()?;
+    for account in 0..accounts {
+        session.write(&txn, account, OPENING_BALANCE)?;
+    }
+    session.commit(txn)?;
+    Ok(engine)
+}
+
+/// Sum of the first `accounts` balances (missing accounts count as 0).
+pub fn total_balance(engine: &Engine, accounts: u64) -> mmdb_types::Result<i64> {
+    let mut total = 0;
+    for account in 0..accounts {
+        total += engine.read(account)?.unwrap_or(0);
+    }
+    Ok(total)
+}
 
 /// Prints a fixed-width table: header row then data rows.
 pub fn print_table<H: Display, C: Display>(title: &str, headers: &[H], rows: &[Vec<C>]) {

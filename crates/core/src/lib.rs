@@ -17,13 +17,13 @@
 //! * **Access planning** ([`db::Database::plan`]) — §4's collapsed
 //!   optimizer: selectivity-ordered join trees with per-join algorithm
 //!   choice under `W·CPU + IO`.
-//! * **Transactions and recovery** ([`txn`]) — the §5 recovery manager
-//!   for the memory-resident transactional store: group commit,
-//!   pre-committed transactions, partitioned logs, stable memory, fuzzy
-//!   checkpoints, crash and restart.
 //! * **Versioning** ([`mvcc`]) — §6's suggested alternative to locking
 //!   for memory-resident systems: snapshot readers that never block,
 //!   never abort, and never see a torn state.
+//!
+//! §5's durable transactions — write-ahead logging, group commit,
+//! checkpoints and restart recovery — are not here: they live in the
+//! `mmdb-session` engine, which the SQL layer stores its rows in.
 //!
 //! # Quickstart
 //!
@@ -49,15 +49,9 @@
 pub mod db;
 /// §4.3 multi-version concurrency control for read-only queries.
 pub mod mvcc;
-/// §5 thread-shareable catalog handle for the multi-session front-end.
-pub mod shared;
 /// §2 memory-resident tables with a choice of index structure.
 pub mod table;
-/// §5 transactional store combining locking, logging, and recovery.
-pub mod txn;
 
 pub use db::{Database, EngineConfig, QueryOutcome};
 pub use mvcc::VersionedStore;
-pub use shared::SharedDatabase;
 pub use table::{IndexKind, Table};
-pub use txn::{CommitMode, RecoveryReport, TransactionalStore};

@@ -2,61 +2,33 @@
 //!
 //! A device writes one 4096-byte log page in 10 ms of *virtual* time (the
 //! paper's figure for a seek-free page write) and is busy until the write
-//! completes. Pages are durable — they survive a crash — once their
-//! completion time has passed.
-
-use crate::log::{LogRecord, Lsn};
+//! completes. The throughput simulator charges page writes against it;
+//! pages carry no records, since only their timing matters to the model.
 
 /// Virtual time in microseconds.
 pub type Micros = u64;
 
-/// One page worth of log records queued or written on a device.
-#[derive(Debug, Clone)]
-pub struct LogPage {
-    /// LSN-tagged records in the page, in append order.
-    pub records: Vec<(Lsn, LogRecord)>,
-    /// Monotone page sequence number on its device.
-    pub seqno: u64,
-    /// Virtual time the write completes (durability point).
-    pub durable_at: Micros,
-}
-
 /// A simulated sequential log device.
 #[derive(Debug)]
 pub struct LogDevice {
-    pages: Vec<LogPage>,
     busy_until: Micros,
     write_time: Micros,
-    page_bytes: usize,
-    next_seqno: u64,
+    pages_written: usize,
 }
 
 impl LogDevice {
-    /// A device with the paper's parameters: 4096-byte pages, 10 ms per
-    /// page write.
+    /// A device with the paper's 10 ms page write.
     pub fn paper() -> Self {
-        LogDevice::new(4096, 10_000)
+        LogDevice::new(10_000)
     }
 
-    /// A device with explicit page size (bytes) and write time (µs).
-    pub fn new(page_bytes: usize, write_time_us: Micros) -> Self {
+    /// A device whose page write takes `write_time_us`.
+    pub fn new(write_time_us: Micros) -> Self {
         LogDevice {
-            pages: Vec::new(),
             busy_until: 0,
             write_time: write_time_us,
-            page_bytes,
-            next_seqno: 0,
+            pages_written: 0,
         }
-    }
-
-    /// Page capacity in bytes.
-    pub fn page_bytes(&self) -> usize {
-        self.page_bytes
-    }
-
-    /// Time one page write takes.
-    pub fn write_time(&self) -> Micros {
-        self.write_time
     }
 
     /// When the device next becomes idle.
@@ -64,93 +36,47 @@ impl LogDevice {
         self.busy_until
     }
 
-    /// Submits a page of records at virtual time `now`; returns the time
-    /// the page becomes durable. Writes queue behind the device's current
-    /// work (a single arm writes one page at a time).
-    pub fn write_page(&mut self, records: Vec<(Lsn, LogRecord)>, now: Micros) -> Micros {
-        let start = now.max(self.busy_until);
-        let done = start + self.write_time;
+    /// Submits a page at virtual time `now`; returns the time the page
+    /// becomes durable. Writes queue behind the device's current work (a
+    /// single arm writes one page at a time), so pages complete in
+    /// submission order.
+    pub fn write_page(&mut self, now: Micros) -> Micros {
+        let done = now.max(self.busy_until) + self.write_time;
         self.busy_until = done;
-        self.pages.push(LogPage {
-            records,
-            seqno: self.next_seqno,
-            durable_at: done,
-        });
-        self.next_seqno += 1;
+        self.pages_written += 1;
         done
-    }
-
-    /// Pages durable at time `now` (what a crash at `now` preserves), in
-    /// sequence order.
-    pub fn durable_pages(&self, now: Micros) -> impl Iterator<Item = &LogPage> {
-        self.pages.iter().filter(move |p| p.durable_at <= now)
-    }
-
-    /// All durable records at `now`, flattened in order.
-    pub fn durable_records(&self, now: Micros) -> Vec<(Lsn, LogRecord)> {
-        self.durable_pages(now)
-            .flat_map(|p| p.records.iter().cloned())
-            .collect()
     }
 
     /// Total pages ever submitted.
     pub fn pages_written(&self) -> usize {
-        self.pages.len()
+        self.pages_written
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdb_types::TxnId;
-
-    fn rec(i: u64) -> (Lsn, LogRecord) {
-        (Lsn(i), LogRecord::Commit { txn: TxnId(i) })
-    }
 
     #[test]
     fn writes_serialize_on_the_device() {
         let mut d = LogDevice::paper();
-        let t1 = d.write_page(vec![rec(1)], 0);
+        let t1 = d.write_page(0);
         assert_eq!(t1, 10_000);
         // Submitted while busy: queues behind the first write.
-        let t2 = d.write_page(vec![rec(2)], 1_000);
+        let t2 = d.write_page(1_000);
         assert_eq!(t2, 20_000);
         // Submitted after idle: starts immediately.
-        let t3 = d.write_page(vec![rec(3)], 50_000);
+        let t3 = d.write_page(50_000);
         assert_eq!(t3, 60_000);
-    }
-
-    #[test]
-    fn durability_follows_completion_time() {
-        let mut d = LogDevice::paper();
-        d.write_page(vec![rec(1)], 0); // durable at 10 000
-        d.write_page(vec![rec(2)], 0); // durable at 20 000
-        assert_eq!(d.durable_records(9_999).len(), 0);
-        assert_eq!(d.durable_records(10_000).len(), 1);
-        assert_eq!(d.durable_records(20_000).len(), 2);
-        // A crash between the two writes loses exactly the second page.
-        let survived = d.durable_records(15_000);
-        assert_eq!(survived, vec![rec(1)]);
-    }
-
-    #[test]
-    fn sequence_numbers_are_monotone() {
-        let mut d = LogDevice::paper();
-        for i in 0..5 {
-            d.write_page(vec![rec(i)], 0);
-        }
-        let seqnos: Vec<u64> = d.durable_pages(u64::MAX).map(|p| p.seqno).collect();
-        assert_eq!(seqnos, vec![0, 1, 2, 3, 4]);
-        assert_eq!(d.pages_written(), 5);
+        assert_eq!(d.pages_written(), 3);
     }
 
     #[test]
     fn paper_rate_is_100_pages_per_second() {
         let mut d = LogDevice::paper();
         let mut now = 0;
-        for i in 0..100 {
-            now = d.write_page(vec![rec(i)], now);
+        for _ in 0..100 {
+            now = d.write_page(now);
         }
         assert_eq!(now, 1_000_000, "100 page writes take one virtual second");
     }

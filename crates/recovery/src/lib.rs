@@ -1,51 +1,42 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! Recovery for memory-resident databases (§5 of the paper).
+//! Log-level building blocks for recovery in memory-resident databases
+//! (§5 of the paper).
 //!
 //! The §5 setting: the whole database fits in volatile main memory, so the
 //! recovery subsystem only ever writes *log* pages during normal
 //! processing — and the log write becomes the throughput bottleneck. This
-//! crate builds the full §5 machinery:
+//! crate holds the pieces that setting needs; the one engine that
+//! assembles them into commit, checkpoint and restart recovery is
+//! `mmdb-session`.
 //!
 //! * [`log`] — log records and their byte-accounted encoding (a "typical"
 //!   transaction writes 400 bytes: 40 of begin/commit, 360 of old/new
-//!   values, per Gray's banking example).
-//! * [`device`] — simulated log devices: one 4096-byte page write costs
-//!   10 ms of virtual time; pages are durable once their write completes.
+//!   values, per Gray's banking example), plus the §5.4 compressed size
+//!   with old values stripped.
+//! * [`wal`] and [`backend`] — page-framed, checksummed log files with
+//!   per-page fsync, and deterministic fault injection for torture tests.
 //! * [`lock`] — a lock manager whose lock table carries the paper's three
 //!   sets (holders / waiters / **pre-committed**) and maintains the
 //!   transaction dependency lists group commit needs.
-//! * [`manager`] — the recovery manager: an in-memory KV database with
-//!   write-ahead logging, four commit policies (synchronous, group
-//!   commit, partitioned log with commit-group dependency ordering,
-//!   stable memory), crash, and restart-recovery.
-//! * [`stable`] — battery-backed stable memory: the in-memory log tail,
-//!   §5.4 log compression (only new values of committed transactions go
-//!   to disk) and the §5.5 dirty-page table bounding recovery.
-//! * [`checkpoint`] — the §5.3 background sweeper that trickles dirty
-//!   pages to the disk snapshot without quiescing.
-//! * [`sim`] — a discrete-event throughput simulator reproducing the §5.2
-//!   numbers (100 tps synchronous, ~1000 tps with group commit, ~k× with
-//!   k log devices).
+//! * [`device`] and [`sim`] — virtual-time log devices (one 4096-byte
+//!   page per 10 ms) and a discrete-event throughput simulator
+//!   reproducing the §5.2 numbers (100 tps synchronous, ~1000 tps with
+//!   group commit, ~k× with k log devices, and the §5.4 stable-memory
+//!   arm).
 
 /// §5 log storage backends: real files plus deterministic fault
 /// injection (torn writes, bit flips, failed syncs) for torture tests.
 pub mod backend;
-/// §5.3 fuzzy checkpointing against the live database.
-pub mod checkpoint;
 /// §5.2 simulated log devices (one 4096-byte page per 10 ms).
 pub mod device;
 /// §5.2 lock manager with pre-commit and commit dependencies.
 pub mod lock;
 /// §5.1 log records and log sequence numbers.
 pub mod log;
-/// §5.2 the recovery manager: WAL buffer, commit modes, restart.
-pub mod manager;
 /// §5.2 discrete-event throughput simulator for the commit policies.
 pub mod sim;
-/// §5.4 stable memory absorbing commits ahead of the disk log.
-pub mod stable;
 /// §5.2 wall-clock log devices: page-framed append-only files with
 /// per-page fsync, for the real-thread session layer.
 pub mod wal;
@@ -54,7 +45,5 @@ pub use backend::{Fault, FaultKind, FaultPlan, FaultyBackend, FileBackend, LogBa
 pub use device::LogDevice;
 pub use lock::{detect_deadlocks_in, LockManager, LockMode};
 pub use log::{LogRecord, Lsn};
-pub use manager::{CommitMode, RecoveryManager, TxnHandle};
 pub use sim::{SimConfig, ThroughputSim};
-pub use stable::StableMemory;
 pub use wal::{LogFileReport, WalDevice};

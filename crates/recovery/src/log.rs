@@ -66,18 +66,6 @@ const TAG_ABORT: u8 = 4;
 const TAG_CHECKPOINT: u8 = 5;
 
 impl LogRecord {
-    /// The transaction this record belongs to. A checkpoint marker
-    /// belongs to the synthetic snapshot transaction (id 0).
-    pub fn txn(&self) -> TxnId {
-        match self {
-            LogRecord::Begin { txn }
-            | LogRecord::Update { txn, .. }
-            | LogRecord::Commit { txn }
-            | LogRecord::Abort { txn } => *txn,
-            LogRecord::Checkpoint { .. } => TxnId(0),
-        }
-    }
-
     /// Bytes this record occupies in a log page, matching §5.1: begin and
     /// commit are 20 bytes each; an update is a 24-byte header plus 8
     /// bytes of old value, 8 of new, and its padding.
@@ -278,10 +266,5 @@ mod tests {
         let bad = [99u8, 0, 0, 0, 0, 0, 0, 0, 0];
         let mut view = &bad[..];
         assert!(LogRecord::decode(&mut view).is_err());
-    }
-
-    #[test]
-    fn txn_accessor() {
-        assert_eq!(LogRecord::Begin { txn: TxnId(3) }.txn(), TxnId(3));
     }
 }

@@ -129,10 +129,10 @@ impl ThroughputSim {
     /// proceed, exactly one transaction per write.
     pub fn run_synchronous(&self, n: u64) -> SimResult {
         let c = &self.config;
-        let mut device = LogDevice::new(c.page_bytes, c.page_write_us);
+        let mut device = LogDevice::new(c.page_write_us);
         let mut now: Micros = 0;
         for _ in 0..n {
-            now = device.write_page(Vec::new(), now);
+            now = device.write_page(now);
         }
         SimResult {
             committed: n,
@@ -146,14 +146,15 @@ impl ThroughputSim {
     /// of log accumulates it is written to the next device round-robin
     /// (dependent-group ordering is a no-op here because all writes take
     /// the same time and are submitted in log order, which preserves the
-    /// §5.2 invariant — see the manager's tests for the general case).
+    /// §5.2 invariant; the session engine's dependency-ordering tests
+    /// cover the general case).
     /// With `stable_memory`, commits are immediate and the drain writes
     /// compressed bytes; throughput is drain-bound in the steady state,
     /// so the simulation still charges every page write.
     pub fn run_grouped(&self, n: u64) -> SimResult {
         let c = &self.config;
         let mut devices: Vec<LogDevice> = (0..c.devices)
-            .map(|_| LogDevice::new(c.page_bytes, c.page_write_us))
+            .map(|_| LogDevice::new(c.page_write_us))
             .collect();
         let effective_bytes = if c.stable_memory {
             (c.txn_log_bytes as f64 * c.compression_ratio).ceil() as usize
@@ -176,7 +177,7 @@ impl ThroughputSim {
             let dev = &mut devices[next_dev];
             next_dev = (next_dev + 1) % n_devices;
             let submit_at = now;
-            let done = dev.write_page(Vec::new(), submit_at);
+            let done = dev.write_page(submit_at);
             last_done = last_done.max(done);
             // Virtual time advances only when every device is busy.
             now = devices.iter().map(|d| d.busy_until()).min().unwrap_or(done);

@@ -478,11 +478,14 @@ impl Shared {
             format!("queue says {} bytes, records sum to {bytes}", q.bytes)
         })?;
         let queued_commits = q.records.iter().filter(|r| r.commit.is_some()).count();
-        drop(q);
+        // Nested queue → durable, as the daemon hands commits over: the
+        // outstanding-commit count below sees the queue and the durable
+        // table at one instant.
         let d = self
             .durable
             .lock()
             .map_err(|_| AuditViolation::new(C, "poison", "durable mutex poisoned".to_string()))?;
+        drop(q);
         for seqno in d.written.keys() {
             AuditViolation::ensure(*seqno >= d.watermark, C, "watermark", || {
                 format!(
@@ -633,6 +636,18 @@ pub(crate) fn run_daemon(shared: Arc<Shared>, senders: Vec<Sender<Page>>) {
                 if ready {
                     break;
                 }
+                // An empty queue has no group timeout to run: sleep until
+                // an append, flush, shutdown or crash notifies the condvar
+                // (each sets its flag under this lock first), so an idle
+                // engine costs no wakeups even at a zero flush interval.
+                if q.records.is_empty() {
+                    let Ok(guard) = shared.queue_cv.wait(q) else {
+                        shared.poison_fail_stop("log queue");
+                        return;
+                    };
+                    q = guard;
+                    continue;
+                }
                 let Ok((guard, timeout)) = shared
                     .queue_cv
                     .wait_timeout(q, shared.options.flush_interval)
@@ -654,6 +669,30 @@ pub(crate) fn run_daemon(shared: Arc<Shared>, senders: Vec<Sender<Page>>) {
                 flush_partial,
                 &mut next_seqno,
             );
+            if !pages.is_empty() {
+                // Register commit → page before dispatch so writers can
+                // resolve dependency pages and waiters can be found. The
+                // queue lock is still held (queue → durable nesting), so
+                // a commit moves from the queue to the durable table in
+                // one step and the audit never counts it in both or
+                // neither.
+                let Ok(mut d) = shared.durable.lock() else {
+                    drop(q);
+                    shared.poison_fail_stop("durable table");
+                    return;
+                };
+                if d.crashed {
+                    return;
+                }
+                for page in &pages {
+                    for c in &page.commits {
+                        d.commit_page.insert(c.txn, page.seqno);
+                    }
+                    if !page.commits.is_empty() {
+                        d.waiting.insert(page.seqno, page.commits.clone());
+                    }
+                }
+            }
             (pages, q.shutdown && q.records.is_empty())
         };
         if !pages.is_empty() {
@@ -662,24 +701,6 @@ pub(crate) fn run_daemon(shared: Arc<Shared>, senders: Vec<Sender<Page>>) {
                     shared.metrics.batch_txns.record(page.commits.len() as u64);
                 }
             }
-            // Register commit → page before dispatch so writers can
-            // resolve dependency pages and waiters can be found.
-            let Ok(mut d) = shared.durable.lock() else {
-                shared.poison_fail_stop("durable table");
-                return;
-            };
-            if d.crashed {
-                return;
-            }
-            for page in &pages {
-                for c in &page.commits {
-                    d.commit_page.insert(c.txn, page.seqno);
-                }
-                if !page.commits.is_empty() {
-                    d.waiting.insert(page.seqno, page.commits.clone());
-                }
-            }
-            drop(d);
             for page in pages {
                 let Some(tx) = senders.get(rr) else {
                     return;

@@ -24,7 +24,6 @@ use crate::daemon::{self, CommitInfo, Page, Shared};
 use crate::metrics::us_since;
 use crate::policy::{CommitPolicy, EngineOptions};
 use crate::shard::{rollback_shard, ShardState, TxnPhase, UndoEntry};
-use mmdb::SharedDatabase;
 use mmdb_obs::{Registry, StatsSnapshot, TraceEvent, TraceStage};
 use mmdb_recovery::wal::WalDevice;
 use mmdb_recovery::{detect_deadlocks_in, LogRecord, Lsn};
@@ -63,7 +62,6 @@ pub struct CommitTicket {
 #[derive(Debug)]
 pub struct Engine {
     shared: Arc<Shared>,
-    catalog: SharedDatabase,
     threads: Vec<JoinHandle<()>>,
     /// §5.3 sweeper state (dirty-shard cache, generation numbering),
     /// shared with the background checkpointer thread when one runs.
@@ -139,7 +137,6 @@ impl Engine {
         }
         Ok(Engine {
             shared,
-            catalog: SharedDatabase::default(),
             threads,
             checkpoint,
             finished: false,
@@ -173,14 +170,7 @@ impl Engine {
     pub fn session(&self) -> Session {
         Session {
             shared: Arc::clone(&self.shared),
-            catalog: self.catalog.clone(),
         }
-    }
-
-    /// The shared relational catalog served alongside the transactional
-    /// store (schema and query traffic; see [`SharedDatabase`]).
-    pub fn catalog(&self) -> SharedDatabase {
-        self.catalog.clone()
     }
 
     /// Reads a key's current (possibly not-yet-durable) value.
@@ -346,7 +336,6 @@ impl Auditable for Engine {
 #[derive(Debug, Clone)]
 pub struct Session {
     shared: Arc<Shared>,
-    catalog: SharedDatabase,
 }
 
 impl Session {
@@ -621,11 +610,6 @@ impl Session {
             let _ = self.abort(txn);
         }
         result
-    }
-
-    /// The shared relational catalog (see [`Engine::catalog`]).
-    pub fn catalog(&self) -> &SharedDatabase {
-        &self.catalog
     }
 
     /// A point-in-time copy of every key/value pair in the store,

@@ -5,10 +5,12 @@
 //! group commit (§5.2 of *Implementation Techniques for Main Memory
 //! Database Systems*, DeWitt et al., SIGMOD 1984).
 //!
-//! The workspace's [`mmdb_recovery`] crate proves the §5.2 arithmetic in
+//! The workspace's [`mmdb_recovery`] crate models the §5.2 arithmetic in
 //! *virtual* time: a discrete-event simulator shows synchronous commit
 //! stuck at ~100 tps and group commit reaching ~1000. This crate is the
-//! same design on *real* OS threads and a wall clock:
+//! workspace's one implementation of the §5 design — commit, fuzzy
+//! checkpoints and restart recovery — on *real* OS threads and a wall
+//! clock:
 //!
 //! * An [`Engine`] owns the shared volatile store, the §5.2 lock manager
 //!   (with pre-commit and commit-dependency tracking), a log queue, and
@@ -24,6 +26,9 @@
 //! * [`CommitPolicy`] mirrors the simulator's policies: synchronous
 //!   (one page write per commit), group commit, and a partitioned log
 //!   striped over `k` devices.
+//! * [`Engine::checkpoint_now`] (or a background sweeper, see
+//!   [`EngineOptions::checkpoint_interval`]) writes a §5.3 fuzzy
+//!   checkpoint whose replay floor bounds the log a restart reads.
 //! * [`Engine::crash`] drops every volatile structure, and
 //!   [`Engine::recover`] rebuilds the store from the surviving log
 //!   pages under the contiguous-LSN-prefix rule ([`RecoveryInfo`] says
@@ -159,9 +164,42 @@ mod tests {
         // reach the lock manager and strip the pre-committed state the
         // §5.2 dependency tracking relies on.
         assert!(matches!(s.abort(t), Err(Error::InvalidTransaction(_))));
+        // Nor may the dead handle write or commit again.
+        assert!(matches!(
+            s.write(&t, 1, 2),
+            Err(Error::InvalidTransaction(_))
+        ));
+        assert!(matches!(s.commit(t), Err(Error::InvalidTransaction(_))));
         s.wait_durable(&ticket).unwrap();
         assert!(engine.is_durable(&ticket).unwrap());
         assert_eq!(engine.read(1).unwrap(), Some(1), "commit unaffected");
+        engine.audit().unwrap();
+        engine.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn write_conflict_times_out_then_proceeds_after_precommit() {
+        let opts =
+            fast(CommitPolicy::Group, "conflict").with_lock_wait_timeout(Duration::from_millis(20));
+        let dir = opts.log_dir.clone();
+        let engine = Engine::start(opts).unwrap();
+        let s = engine.session();
+        let t1 = s.begin().unwrap();
+        let t2 = s.begin().unwrap();
+        s.write(&t1, 9, 1).unwrap();
+        assert!(matches!(
+            s.write(&t2, 9, 2),
+            Err(Error::LockConflict { .. })
+        ));
+        // Pre-commit hands t1's lock to t2, which inherits a commit
+        // dependency: t2 durable implies t1 durable.
+        let ticket1 = s.commit(t1).unwrap();
+        s.write(&t2, 9, 2).unwrap();
+        let ticket2 = s.commit(t2).unwrap();
+        s.wait_durable(&ticket2).unwrap();
+        assert!(engine.is_durable(&ticket1).unwrap());
+        assert_eq!(engine.read(9).unwrap(), Some(2));
         engine.audit().unwrap();
         engine.shutdown().unwrap();
         std::fs::remove_dir_all(&dir).ok();
@@ -255,9 +293,11 @@ mod tests {
         for k in 0..5 {
             assert_eq!(engine.read(k).unwrap(), Some((k as i64) * 3));
         }
-        // The recovered engine keeps working.
+        // The recovered engine keeps working, and never reissues a
+        // transaction id the log already holds.
         let s = engine.session();
         let t = s.begin().unwrap();
+        assert!(info.committed.iter().all(|c| c.0 < t.id().0));
         s.write(&t, 99, 1).unwrap();
         s.commit_durable(t).unwrap();
         engine.shutdown().unwrap();

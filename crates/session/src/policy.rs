@@ -1,16 +1,16 @@
 //! Commit policies and engine options (§5.2 of the paper).
 //!
-//! The §5.2 commit policies — synchronous, group commit, partitioned log
-//! — exist twice in this workspace: once in virtual time
-//! ([`mmdb_recovery::SimConfig`] drives the discrete-event simulator) and
-//! once here, on real OS threads and a wall clock. [`CommitPolicy`] names
-//! the policy; [`EngineOptions`] carries the knobs shared with the
-//! simulator (page size, per-page write latency, group timeout) so a
-//! wall-clock run can be cross-checked against its virtual-time twin via
-//! [`EngineOptions::sim_config`].
+//! This engine is the workspace's one implementation of the §5.2 commit
+//! policies — synchronous, group commit, partitioned log — on real OS
+//! threads and a wall clock. The discrete-event simulator
+//! ([`mmdb_recovery::SimConfig`]) is a *model* of the same policies, not
+//! a second engine: it computes the paper's throughput arithmetic in
+//! virtual time. [`CommitPolicy`] names the policy; [`EngineOptions`]
+//! carries its knobs (page size, per-page write latency, group timeout,
+//! shards, checkpoint interval, fault plans).
 
 use crate::shard::MAX_SHARDS;
-use mmdb_recovery::{FaultPlan, SimConfig};
+use mmdb_recovery::FaultPlan;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -69,9 +69,13 @@ pub struct EngineOptions {
     pub device_latencies: Vec<Duration>,
     /// Directory the log device files live in.
     pub log_dir: PathBuf,
-    /// Group-commit timeout: the daemon flushes a partial page once the
-    /// oldest queued record has waited this long (§5.2's answer to "what
-    /// if the page never fills?").
+    /// Group-commit timeout (§5.2's answer to "what if the page never
+    /// fills?"). A full page is cut at once; a partial page is cut once
+    /// the queue has gone this long with no new append — every append
+    /// wakes the daemon and restarts the wait, so under steady traffic
+    /// the bound is on the gap between appends, not on the age of the
+    /// oldest queued record. An idle engine (empty queue) does not wake
+    /// at all.
     pub flush_interval: Duration,
     /// How long a writer waits on a lock before giving up with a
     /// conflict error (deadlock victims abort much sooner).
@@ -225,20 +229,6 @@ impl EngineOptions {
             .copied()
             .unwrap_or(self.page_write_latency)
     }
-
-    /// The virtual-time [`SimConfig`] modeling the same policy, so a
-    /// wall-clock measurement can be sanity-checked against the
-    /// discrete-event simulator's §5.2 arithmetic.
-    pub fn sim_config(&self) -> SimConfig {
-        let mut cfg = match self.policy {
-            CommitPolicy::Synchronous => SimConfig::synchronous(),
-            CommitPolicy::Group => SimConfig::group_commit(),
-            CommitPolicy::Partitioned { devices } => SimConfig::partitioned(devices.max(1)),
-        };
-        cfg.page_bytes = self.page_bytes;
-        cfg.page_write_us = self.page_write_latency.as_micros() as u64;
-        cfg
-    }
 }
 
 /// Default shard count: the machine's available parallelism — the §5.2
@@ -271,17 +261,6 @@ mod tests {
         assert_eq!(CommitPolicy::Group.devices(), 1);
         assert_eq!(CommitPolicy::Partitioned { devices: 4 }.devices(), 4);
         assert_eq!(CommitPolicy::Partitioned { devices: 0 }.devices(), 1);
-    }
-
-    #[test]
-    fn sim_config_mirrors_policy() {
-        let opts = EngineOptions::new(CommitPolicy::Partitioned { devices: 3 }, "/tmp/x");
-        let cfg = opts.sim_config();
-        assert_eq!(cfg.devices, 3);
-        assert_eq!(cfg.page_bytes, 4096);
-        assert_eq!(cfg.page_write_us, 2_000);
-        let sync = EngineOptions::new(CommitPolicy::Synchronous, "/tmp/x").sim_config();
-        assert_eq!(sync.commit_group_txns, 1, "synchronous means groups of one");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use mmdb::VersionedStore;
 use mmdb_index::{AvlTree, BPlusTree};
-use mmdb_recovery::{CommitMode, LockManager, RecoveryManager};
+use mmdb_recovery::LockManager;
 use mmdb_session::{CommitPolicy, Engine, EngineOptions};
 use mmdb_storage::{BufferPool, CostMeter, HeapFile, IoKind, ReplacementPolicy, SimDisk};
 use mmdb_types::{Auditable, TxnId};
@@ -308,47 +308,6 @@ proptest! {
                 return Err(TestCaseError::fail(format!("after op {i} ({kind}, txn {}, obj {object}): {v}", txn.0)));
             }
             let _ = lm.detect_deadlocks();
-        }
-    }
-
-    #[test]
-    fn recovery_manager_log_bookkeeping_holds(
-        ops in proptest::collection::vec((0u8..5, 0u64..16, -500i64..500), 1..120),
-        mode_pick in 0u8..4,
-    ) {
-        let _serial = serial();
-        let mode = match mode_pick {
-            0 => CommitMode::Synchronous,
-            1 => CommitMode::GroupCommit,
-            2 => CommitMode::PartitionedLog { devices: 3 },
-            _ => CommitMode::StableMemory { capacity_bytes: 1 << 20 },
-        };
-        let mut m = RecoveryManager::new(mode);
-        let mut open = Vec::new();
-        for (i, &(kind, key, value)) in ops.iter().enumerate() {
-            match kind {
-                0 => open.push(m.begin()),
-                1 => {
-                    if let Some(t) = open.last() {
-                        let _ = m.write(t, key, value); // lock conflicts are legal
-                    }
-                }
-                2 => {
-                    if !open.is_empty() {
-                        let t = open.swap_remove(key as usize % open.len());
-                        if value < 0 {
-                            m.abort(t).unwrap();
-                        } else {
-                            m.commit(t).unwrap();
-                        }
-                    }
-                }
-                3 => { m.flush(); }
-                _ => { m.checkpoint_sweep(4); }
-            }
-            if let Err(v) = m.audit() {
-                return Err(TestCaseError::fail(format!("after op {i}: {v}")));
-            }
         }
     }
 

@@ -1,11 +1,13 @@
 //! Larger combined-load scenarios: the engine under sustained mixed DML +
-//! query traffic, and the transactional store under long crash/recover
+//! query traffic, and the session engine under long crash/recover
 //! cycles. These are the "does it hold up" tests a downstream adopter
 //! would run first.
 
-use mmdb::{CommitMode, Database, IndexKind, TransactionalStore};
+use mmdb::{Database, IndexKind};
 use mmdb_planner::{JoinEdge, QuerySpec, TableRef};
+use mmdb_session::{CommitPolicy, Engine, EngineOptions};
 use mmdb_types::{CmpOp, DataType, Predicate, Schema, Tuple, Value, WorkloadRng};
+use std::time::Duration;
 
 #[test]
 fn sustained_dml_with_index_maintenance() {
@@ -76,32 +78,63 @@ fn sustained_dml_with_index_maintenance() {
 
 #[test]
 fn repeated_crash_recover_cycles_accumulate_correctly() {
-    let mut store = TransactionalStore::new(CommitMode::GroupCommit);
-    let seed = store.begin();
-    for a in 0..20u64 {
-        store.write(&seed, a, 0).unwrap();
-    }
-    store.commit(seed).unwrap();
-    store.flush();
-    let mut expected: Vec<i64> = vec![0; 20];
-    for cycle in 0..6 {
-        // Commit a batch, leave one transaction in flight, crash, recover.
-        for i in 0..30u64 {
-            let key = (cycle * 7 + i) % 20;
-            let t = store.begin();
-            store.write(&t, key, expected[key as usize] + 1).unwrap();
-            store.commit(t).unwrap();
-            expected[key as usize] += 1;
+    for policy in [
+        CommitPolicy::Synchronous,
+        CommitPolicy::Group,
+        CommitPolicy::Partitioned { devices: 3 },
+    ] {
+        let dir = std::env::temp_dir().join(format!(
+            "mmdb-stress-cycles-{}-{}",
+            policy.name(),
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let options = EngineOptions::new(policy, &dir)
+            .with_page_write_latency(Duration::ZERO)
+            .with_flush_interval(Duration::from_micros(500));
+        let mut engine = Engine::start(options.clone()).unwrap();
+        let s = engine.session();
+        let seed = s.begin().unwrap();
+        for a in 0..20u64 {
+            s.write(&seed, a, 0).unwrap();
         }
-        store.flush();
-        let doomed = store.begin();
-        store.write(&doomed, 0, -1).unwrap();
-        let (recovered, report) = TransactionalStore::recover(store.crash());
-        store = recovered;
-        assert!(report.losers.len() <= 1, "cycle {cycle}: {report:?}");
-        for (k, v) in expected.iter().enumerate() {
-            assert_eq!(store.read(k as u64), Some(*v), "cycle {cycle}, key {k}");
+        s.commit(seed).unwrap();
+        engine.flush().unwrap();
+        let mut expected: Vec<i64> = vec![0; 20];
+        for cycle in 0..6 {
+            // Commit a batch, leave one transaction in flight, crash, recover.
+            let s = engine.session();
+            for i in 0..30u64 {
+                let key = (cycle * 7 + i) % 20;
+                let t = s.begin().unwrap();
+                s.write(&t, key, expected[key as usize] + 1).unwrap();
+                s.commit(t).unwrap();
+                expected[key as usize] += 1;
+            }
+            engine.flush().unwrap();
+            // A durable commit after the in-flight write carries that
+            // write's log records to disk too (LSN prefix), so recovery
+            // must see them and discard them.
+            let doomed = s.begin().unwrap();
+            s.write(&doomed, 0, -1).unwrap();
+            let t = s.begin().unwrap();
+            s.write(&t, 19, expected[19] + 1).unwrap();
+            s.commit_durable(t).unwrap();
+            expected[19] += 1;
+            engine.crash().unwrap();
+            let (recovered, report) = Engine::recover(options.clone()).unwrap();
+            engine = recovered;
+            assert_eq!(report.losers, vec![doomed.id()], "{policy:?} cycle {cycle}");
+            for (k, v) in expected.iter().enumerate() {
+                assert_eq!(
+                    engine.read(k as u64).unwrap(),
+                    Some(*v),
+                    "{policy:?} cycle {cycle}, key {k}"
+                );
+            }
         }
+        engine.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 

@@ -152,6 +152,9 @@ fn dependency_becomes_durable_no_later_than_dependent() {
     let ticket_a = s.commit(a).unwrap();
     std::thread::sleep(Duration::from_millis(15));
     let b = s.begin().unwrap();
+    // B reads A's pre-committed value — durable or not — and takes the
+    // §5.2 commit dependency on A with the lock.
+    assert_eq!(s.read_for_update(&b, 7).unwrap(), Some(1));
     s.write_typical(&b, 7, 2).unwrap();
     let ticket_b = s.commit(b).unwrap();
     s.wait_durable(&ticket_b).unwrap();
