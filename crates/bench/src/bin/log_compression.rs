@@ -3,14 +3,15 @@
 //! reaches disk, roughly halving disk-log volume.
 //!
 //! A banking workload runs through the session engine's
-//! `Session::transfer` under group commit, cutting only full log pages.
-//! The harness then reads the engine's own log back, strips every
-//! update's old value (`old: None` and half the padding — exactly
-//! `LogRecord::compressed_size`), and repacks the same records into
-//! pages of the same size in a second log directory. That is the log a
-//! stable-memory drain would have written. Both logs are recovered by
-//! `Engine::recover`, which must conserve every balance and find every
-//! transaction committed.
+//! `Session::transfer` under group commit. The harness then reads the
+//! engine's own log back and repacks it in place into full pages, so
+//! the page count does not depend on when the daemon cut partial pages.
+//! It also strips every update's old value (`old: None` and half the
+//! padding — exactly `LogRecord::compressed_size`) and packs those
+//! records by the same rule into a second log directory. That is the
+//! log a stable-memory drain would have written. Both logs are
+//! recovered by `Engine::recover`, which must conserve every balance and
+//! find every transaction committed.
 
 use mmdb_analytic::recovery::ThroughputModel;
 use mmdb_bench::{banking_options, open_bank, pct, print_table, total_balance, OPENING_BALANCE};
@@ -35,7 +36,8 @@ fn strip_old_value(mut record: LogRecord) -> LogRecord {
 
 /// Writes `records` into a fresh device file, greedily packing each
 /// page up to `page_bytes` of accounted record bytes, the same rule the
-/// commit daemon cuts full pages by. Returns the page count.
+/// commit daemon cuts full pages by. Both arms are packed here, so the
+/// ratio compares record volume alone. Returns the page count.
 fn write_packed(
     options: &EngineOptions,
     records: &[(Lsn, LogRecord)],
@@ -87,11 +89,11 @@ fn main() -> mmdb_types::Result<()> {
         session.transfer(i % ACCOUNTS, (i + 7) % ACCOUNTS, 1)?;
     }
     engine.flush()?;
-    let full_pages = engine.pages_written()?;
     engine.crash()?;
 
     let records = read_log_file_report(&full.log_dir.join(LOG_FILE))?.records;
     let full_bytes: usize = records.iter().map(|(_, r)| r.byte_size()).sum();
+    let full_pages = write_packed(&full, &records)?;
     let stripped: Vec<(Lsn, LogRecord)> = records
         .into_iter()
         .map(|(lsn, r)| (lsn, strip_old_value(r)))

@@ -14,8 +14,10 @@ pub const OPENING_BALANCE: i64 = 1_000;
 
 /// Engine options for the §5 log experiments (R2, R3): group commit in
 /// a fresh scratch directory named after `name`, no modeled page-write
-/// latency, and a group timeout long enough that the daemon cuts only
-/// full pages until an explicit [`Engine::flush`].
+/// latency, and a group timeout long enough never to fire. The daemon
+/// then cuts a page only when it fills, when a commit has no sibling
+/// transaction left to wait for (a lone `Session::transfer` gets a page
+/// of its own), or on an explicit [`Engine::flush`].
 pub fn banking_options(name: &str) -> EngineOptions {
     let dir = std::env::temp_dir().join(format!("mmdb-bench-{name}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();

@@ -158,19 +158,40 @@ impl WalDevice {
     /// the last good frame (best effort) so a retried append starts from
     /// a clean boundary instead of landing after a torn partial frame.
     pub fn append_page(&mut self, records: &[(Lsn, LogRecord)]) -> Result<()> {
-        let frame = encode_frame(records, self.page_bytes);
-        let result = self
-            .backend
-            .write_all(&frame)
-            .and_then(|()| self.backend.sync());
+        self.append_pages([records])
+    }
+
+    /// Appends one v2 page frame per batch, then syncs once: the bulk
+    /// form of [`WalDevice::append_page`] for images written in one go
+    /// (restart compaction, §5.3 checkpoints), where only the final sync
+    /// makes the whole image durable. On any failure the device rewinds
+    /// to the end of the last synced frame, dropping every frame of this
+    /// call, exactly as `append_page` does for its one.
+    pub fn append_pages<'a>(
+        &mut self,
+        pages: impl IntoIterator<Item = &'a [(Lsn, LogRecord)]>,
+    ) -> Result<()> {
+        let mut frames = 0usize;
+        let mut bytes = 0u64;
+        let mut result = Ok(());
+        for records in pages {
+            let frame = encode_frame(records, self.page_bytes);
+            result = self.backend.write_all(&frame);
+            if result.is_err() {
+                break;
+            }
+            frames += 1;
+            bytes += frame.len() as u64;
+        }
+        let result = result.and_then(|()| self.backend.sync());
         match result {
             Ok(()) => {
-                self.pages_written += 1;
-                self.bytes_written += frame.len() as u64;
+                self.pages_written += frames;
+                self.bytes_written += bytes;
                 Ok(())
             }
             Err(e) => {
-                // Discard whatever partial frame may have landed; if the
+                // Discard whatever partial frames may have landed; if the
                 // rewind itself fails the recovery-time prefix rule still
                 // drops the torn page, so the original error wins.
                 let _ = self.backend.truncate(self.bytes_written);
@@ -698,5 +719,29 @@ mod tests {
         assert_eq!(report.corrupt_pages_dropped, 0);
         assert_eq!(report.bytes_dropped, 0);
         assert_eq!(dev.pages_written(), 2, "only successful appends count");
+    }
+
+    #[test]
+    fn append_pages_syncs_once_and_rewinds_the_whole_batch() {
+        // Sync 1 fails: the batch after the first page is dropped whole.
+        // A retry of the batch is sync 2, and it must be the batch's only
+        // sync — the page after it meets the sync 3 fault.
+        let path = tmp("batch.log");
+        let plan = FaultPlan::none().fail_sync(1, 1).fail_sync(3, 1);
+        let backend = FaultyBackend::create(&path, plan).unwrap();
+        let mut dev = WalDevice::with_backend(Box::new(backend), &path, 4096, Duration::ZERO);
+        let pages = [typical(1, 7), typical(2, 8), typical(3, 9)];
+        dev.append_page(&pages[0]).unwrap();
+        let batch = || pages[1..].iter().map(Vec::as_slice);
+        assert!(dev.append_pages(batch()).is_err(), "failed sync surfaces");
+        assert_eq!(read_log_file(&path).unwrap(), pages[0], "batch rewound");
+        dev.append_pages(batch()).unwrap();
+        assert_eq!(dev.pages_written(), 3);
+        assert!(
+            dev.append_page(&typical(4, 10)).is_err(),
+            "one sync per batch"
+        );
+        let want: Vec<_> = pages.concat();
+        assert_eq!(read_log_file(&path).unwrap(), want);
     }
 }

@@ -19,13 +19,14 @@
 //!   sits in the live log at LSN ≥ `start`.
 //! - The image goes to a **new generation file** through the same
 //!   [`WalDevice`] / `LogBackend` stack the commit path uses, with a
-//!   [`LogRecord::Checkpoint`] marker carrying `start` and the
-//!   transaction-id floor. The live generation keeps growing in place;
-//!   the sweeper never touches it.
+//!   [`mmdb_recovery::LogRecord::Checkpoint`] marker carrying `start`
+//!   and the transaction-id floor. The live generation keeps growing in
+//!   place; the sweeper never touches it.
 //! - Old checkpoint generations are deleted only *after* the new
-//!   generation's commit record is durable (`append_page` syncs every
-//!   page), reusing restart compaction's crash-fallback semantics: a
-//!   crash mid-sweep leaves a torn generation that recovery skips.
+//!   generation's commit record is durable (the image is written with
+//!   one sync at its end), reusing restart compaction's crash-fallback
+//!   semantics: a crash mid-sweep leaves a torn generation that
+//!   recovery skips.
 //! - A **dirty-shard table** ([`crate::shard::ShardState::dirty`] plus
 //!   the sweeper's settled-image cache) makes successive sweeps copy
 //!   only shards mutated since the last sweep.
@@ -36,10 +37,10 @@
 
 use crate::daemon::Shared;
 use crate::engine::{device_file_name, log_files};
-use crate::recover::{generation_of, write_snapshot};
+use crate::recover::{generation_of, snapshot_records, write_packed, write_snapshot};
 use mmdb_recovery::wal::WalDevice;
-use mmdb_recovery::{LogRecord, Lsn};
-use mmdb_types::{Error, Result, TxnId};
+use mmdb_recovery::Lsn;
+use mmdb_types::{Error, Result};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -227,7 +228,7 @@ pub(crate) fn sweep(
     )?;
     let log_bytes_written = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
 
-    // The image is durably complete (every page synced); superseded
+    // The image is durably complete (its final sync returned); superseded
     // checkpoint generations — and any torn leftovers from crashed
     // sweeps — can go. The live generation is never deleted online.
     if halt != SweepHalt::BeforeTruncate {
@@ -274,37 +275,8 @@ fn write_torn_image(
     page_bytes: usize,
     marker: (Lsn, u64),
 ) -> Result<()> {
-    let mut records: Vec<LogRecord> = Vec::with_capacity(image.len() / 2 + 2);
-    records.push(LogRecord::Begin { txn: TxnId(0) });
-    records.push(LogRecord::Checkpoint {
-        start: marker.0,
-        next_txn: marker.1,
-    });
-    for (key, value) in image.iter().take(image.len() / 2) {
-        records.push(LogRecord::Update {
-            txn: TxnId(0),
-            key: *key,
-            old: None,
-            new: *value,
-            padding: 0,
-        });
-    }
-    let mut page: Vec<(Lsn, LogRecord)> = Vec::new();
-    let mut bytes = 0usize;
-    for (lsn, rec) in (1u64..).zip(records) {
-        let size = rec.byte_size();
-        if !page.is_empty() && bytes + size > page_bytes {
-            device.append_page(&page)?;
-            page.clear();
-            bytes = 0;
-        }
-        page.push((Lsn(lsn), rec));
-        bytes += size;
-    }
-    if !page.is_empty() {
-        device.append_page(&page)?;
-    }
-    Ok(())
+    let records = snapshot_records(image.iter().take(image.len() / 2), Some(marker));
+    write_packed(device, records, page_bytes).map(drop)
 }
 
 /// The background checkpointer thread body (§5.3): sweep every
@@ -376,8 +348,7 @@ mod tests {
     }
 
     /// Sweeps until the dirty-shard table reports nothing left to copy
-    /// (in-flight undo entries settle once the daemon finalizes their
-    /// durable commits, which can lag `wait_durable` by a beat).
+    /// (a shard is cached only once its undo entries have settled).
     fn sweep_until_settled(engine: &Engine) {
         for _ in 0..200 {
             if engine.checkpoint_now().unwrap().rewritten.is_empty() {

@@ -20,7 +20,18 @@
 //! * **Durable watermark** — a transaction is *reported* durable only
 //!   once every page up to and including its own is on disk, matching
 //!   restart recovery's contiguous-LSN-prefix rule: nothing is promised
-//!   that a crash could take back.
+//!   that a crash could take back. It is also finalized first: its undo
+//!   entries and transaction-table entry are gone by the time a waiter
+//!   returns.
+//! * **Groups only where they can form** — a partial page is held for
+//!   the group timeout only while another transaction could still join
+//!   it: one is active, or a committer a landed page released has not
+//!   begun again (such a committer stops counting once a timeout expires
+//!   without it). Otherwise the page holding a commit is cut at once,
+//!   since waiting would add latency and share nothing. While every
+//!   writer has a page in flight no partial page is cut at all: it could
+//!   not be written sooner, and the committers those pages release may
+//!   still join it.
 //!
 //! Lock order (a thread may only acquire downward): shard state locks in
 //! ascending shard index → one txn-table slot → `queue` → `durable` (see
@@ -30,12 +41,12 @@
 
 use crate::metrics::{us_since, SessionMetrics};
 use crate::policy::{CommitPolicy, EngineOptions};
-use crate::shard::{shard_of, Shard, TxnTable};
+use crate::shard::{shard_of, Shard, TxnPhase, TxnTable};
 use mmdb_obs::TraceStage;
 use mmdb_recovery::wal::WalDevice;
 use mmdb_recovery::{LogRecord, Lsn};
 use mmdb_types::{AuditViolation, Auditable, Error, Result, TxnId};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -129,10 +140,23 @@ pub(crate) struct DurableTable {
     pub waiting: BTreeMap<u64, Vec<PendingCommit>>,
     /// Commits appended but not yet durable (`flush` waits for zero).
     pub outstanding: usize,
+    /// Commits the watermark covers whose lock state and undo entries
+    /// are still being finalized. A commit is *reported* durable only
+    /// once it has left this set, so a committer that returns from
+    /// `wait_durable` never races its own finalization.
+    pub finalizing: HashSet<TxnId>,
     pub pages_written: usize,
     pub crashed: bool,
     /// A log device failed; the engine is dead.
     pub failure: Option<Error>,
+}
+
+impl DurableTable {
+    /// True once the commit record at `lsn` — and every record before
+    /// it — is on disk and `txn`'s commit is finalized.
+    pub fn reports_durable(&self, txn: TxnId, lsn: Lsn) -> bool {
+        self.durable_lsn >= lsn.0 && !self.finalizing.contains(&txn)
+    }
 }
 
 /// Everything the engine, its sessions, the daemon, and the writers
@@ -149,6 +173,14 @@ pub(crate) struct Shared {
     /// Transaction id allocator — atomic, so `begin` takes no global
     /// lock (§5.2: nothing global sits on the transaction hot path).
     pub next_txn: AtomicU64,
+    /// Transactions begun but not yet pre-committed or aborting — the
+    /// siblings a queued commit's group could still wait for.
+    pub active_txns: AtomicU64,
+    /// Committers a durability event released that have not begun their
+    /// next transaction yet: a closed-loop client woken by a landed page
+    /// is about to rejoin, so it still counts as a sibling — until a
+    /// group timeout expires without it.
+    pub released: AtomicU64,
     pub queue: Mutex<LogQueue>,
     /// Signalled when the queue gains records or flags change.
     pub queue_cv: Condvar,
@@ -189,6 +221,8 @@ impl Shared {
             shards,
             txns: TxnTable::new(),
             next_txn: AtomicU64::new(next_txn.max(1)),
+            active_txns: AtomicU64::new(0),
+            released: AtomicU64::new(0),
             queue: Mutex::new(LogQueue {
                 next_lsn: next_lsn.max(1),
                 ..LogQueue::default()
@@ -217,6 +251,48 @@ impl Shared {
         // ordering: ids only need to be unique; every structure they
         // index is guarded by its own lock.
         TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// Counts a begun transaction as active; if it is a committer that a
+    /// durability event released, it has now rejoined.
+    pub fn note_begin(&self) {
+        // ordering: both counters only steer when the daemon cuts a
+        // partial page. It reads them under the queue lock, and every
+        // change that can make a lone commit cuttable (a claim) is
+        // followed by an append that takes that lock and wakes it, so the
+        // mutex orders them; a stale read here costs only group size.
+        self.active_txns.fetch_add(1, Ordering::Relaxed);
+        saturating_dec(&self.released);
+    }
+
+    /// [`TxnTable::claim`] that also retires the transaction from the
+    /// active count once it leaves the Active phase.
+    pub fn claim(&self, txn: TxnId, expected_mask: u64, next: TxnPhase) -> Result<bool> {
+        let claimed = self.txns.claim(txn, expected_mask, next)?;
+        if claimed {
+            self.leave_active();
+        }
+        Ok(claimed)
+    }
+
+    /// Drops one transaction from the active count. The caller's next
+    /// append (a commit or abort record) wakes the daemon to re-check.
+    pub fn leave_active(&self) {
+        saturating_dec(&self.active_txns);
+    }
+
+    /// Stops counting released committers as siblings.
+    fn forget_released(&self) {
+        // ordering: see `note_begin`.
+        self.released.store(0, Ordering::Relaxed);
+    }
+
+    /// True while a queued commit's group could still gain a member: a
+    /// transaction is active, or a committer released by an earlier
+    /// page has not begun again. Read under the queue lock.
+    fn sibling_may_join(&self) -> bool {
+        // ordering: see `note_begin`.
+        self.active_txns.load(Ordering::Relaxed) > 0 || self.released.load(Ordering::Relaxed) > 0
     }
 
     /// Wakes lock waiters on every shard in `mask` (call after releasing
@@ -267,6 +343,11 @@ impl Shared {
     /// records in precommit order and keeps every dependency's commit
     /// LSN (and page) ahead of its dependent's. `force` requests an
     /// immediate flush (synchronous commit).
+    ///
+    /// The daemon is woken only when the append can change its decision:
+    /// the queue was empty (it sleeps untimed), a commit arrived, a page
+    /// filled, or a flush was forced. Other records join the queue
+    /// silently, so the group timer restarts per commit, not per record.
     pub fn append(&self, items: Vec<(LogRecord, Option<CommitInfo>)>, force: bool) -> Result<Lsn> {
         let mut q = self.queue_guard()?;
         if q.failed {
@@ -281,6 +362,7 @@ impl Shared {
         if q.shutdown || q.crashed {
             return Err(Error::Shutdown);
         }
+        let was_empty = q.records.is_empty();
         let mut last = Lsn(q.next_lsn);
         let mut commits = 0usize;
         for (record, info) in items {
@@ -316,7 +398,9 @@ impl Shared {
             // Nested queue → durable follows the lock order.
             self.durable_guard()?.outstanding += commits;
         }
-        self.queue_cv.notify_all();
+        if was_empty || commits > 0 || force || q.bytes >= self.options.page_bytes {
+            self.queue_cv.notify_all();
+        }
         Ok(last)
     }
 
@@ -553,11 +637,17 @@ impl Shared {
     }
 }
 
+/// Decrements a group-formation counter unless it is already zero.
+fn saturating_dec(counter: &AtomicU64) {
+    // ordering: see `Shared::note_begin`.
+    let _ = counter.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
+}
+
 /// Cuts as many pages as the queue currently justifies. Full pages are
 /// always cut; a trailing partial page is cut only when `flush_partial`
-/// (force, timeout, or shutdown). Under the synchronous policy every
-/// commit record ends its page, making each commit pay its own page
-/// write — the paper's 100 tps baseline.
+/// (force, timeout, shutdown, or a commit no sibling can join). Under
+/// the synchronous policy every commit record ends its page, making
+/// each commit pay its own page write — the paper's 100 tps baseline.
 pub(crate) fn cut_pages(
     q: &mut LogQueue,
     page_bytes: usize,
@@ -630,23 +720,43 @@ pub(crate) fn run_daemon(shared: Arc<Shared>, senders: Vec<Sender<Page>>) {
                     return;
                 }
                 flush_partial = q.force || q.shutdown;
+                let has_commit = q.records.iter().any(|r| r.commit.is_some());
                 let ready = flush_partial
                     || q.bytes >= shared.options.page_bytes
-                    || (sync_cut && q.records.iter().any(|r| r.commit.is_some()));
+                    || (sync_cut && has_commit);
                 if ready {
                     break;
                 }
-                // An empty queue has no group timeout to run: sleep until
-                // an append, flush, shutdown or crash notifies the condvar
-                // (each sets its flag under this lock first), so an idle
-                // engine costs no wakeups even at a zero flush interval.
-                if q.records.is_empty() {
+                // Sleep untimed while no cut could help. An empty queue has
+                // no group timeout to run: an append, flush, shutdown or
+                // crash notifies the condvar (each sets its flag under this
+                // lock first), so an idle engine costs no wakeups even at a
+                // zero flush interval. With every writer busy, a partial
+                // page cut now would only wait in a writer's channel, so it
+                // stays open for the committers the pages in flight will
+                // release, until `complete_page` frees a writer.
+                let Ok(d) = shared.durable.lock() else {
+                    drop(q);
+                    shared.poison_fail_stop("durable table");
+                    return;
+                };
+                let in_flight = next_seqno.saturating_sub(d.pages_written as u64);
+                drop(d);
+                if q.records.is_empty() || in_flight >= senders.len() as u64 {
                     let Ok(guard) = shared.queue_cv.wait(q) else {
                         shared.poison_fail_stop("log queue");
                         return;
                     };
                     q = guard;
                     continue;
+                }
+                // A group forms only if another transaction can still
+                // join it. With none active and no released committer
+                // still to begin again, waiting out the timer would only
+                // add latency: cut the partial page now.
+                if has_commit && !shared.sibling_may_join() {
+                    flush_partial = true;
+                    break;
                 }
                 let Ok((guard, timeout)) = shared
                     .queue_cv
@@ -657,6 +767,10 @@ pub(crate) fn run_daemon(shared: Arc<Shared>, senders: Vec<Sender<Page>>) {
                 };
                 q = guard;
                 if timeout.timed_out() && !q.records.is_empty() {
+                    // A released committer that has not begun again within
+                    // a whole group timeout is not coming soon — perhaps
+                    // never, if its client left — so stop counting it.
+                    shared.forget_released();
                     flush_partial = true;
                     break;
                 }
@@ -827,8 +941,9 @@ fn wait_for_dependencies(shared: &Shared, page: &Page) -> bool {
 }
 
 /// Marks a page written, advances the durable watermark (and with it
-/// `durable_lsn`), reports every commit the watermark now covers,
-/// prunes their tracking entries, and finalizes their lock state.
+/// `durable_lsn`), prunes the tracking entries of every commit the
+/// watermark now covers, finalizes their lock state, and only then
+/// reports them durable.
 fn complete_page(shared: &Shared, page: Page) -> bool {
     let newly = {
         let Ok(mut guard) = shared.durable.lock() else {
@@ -855,11 +970,30 @@ fn complete_page(shared: &Shared, page: Page) -> bool {
         for c in &newly {
             d.commit_page.remove(&c.txn);
             d.outstanding = d.outstanding.saturating_sub(1);
+            d.finalizing.insert(c.txn);
         }
+        // These committers are about to be released; until each begins
+        // again the daemon treats it as a sibling worth waiting for.
+        let released = newly.len() as u64;
+        // ordering: see `Shared::note_begin`; this lands before the
+        // waiters return (after finalization), so their next begin
+        // decrements it.
+        shared.released.fetch_add(released, Ordering::Relaxed);
         shared.metrics.update_durable_lag(d.durable_lsn);
+        // Writers waiting on a dependency page need only the watermark.
         shared.durable_cv.notify_all();
         newly
     };
+    // This writer is free: the daemon may now cut a page it held open.
+    // Taking the queue lock orders the wakeup after its in-flight check.
+    let Ok(q) = shared.queue.lock() else {
+        shared.poison_fail_stop("log queue");
+        return false;
+    };
+    if !q.records.is_empty() {
+        shared.queue_cv.notify_all();
+    }
+    drop(q);
     if newly.is_empty() {
         return true;
     }
@@ -902,6 +1036,17 @@ fn complete_page(shared: &Shared, page: Page) -> bool {
         }
         shared.notify_shards(meta.mask);
     }
+    // Every commit above is finalized (undo dropped, txn-table entry
+    // gone): now its waiters may return.
+    let Ok(mut d) = shared.durable.lock() else {
+        shared.poison_fail_stop("durable table");
+        return false;
+    };
+    for c in &newly {
+        d.finalizing.remove(&c.txn);
+    }
+    drop(d);
+    shared.durable_cv.notify_all();
     true
 }
 

@@ -179,9 +179,12 @@ impl Engine {
     }
 
     /// True once the ticket's commit record — and every log record
-    /// before it — is on disk.
+    /// before it — is on disk and the commit is finalized.
     pub fn is_durable(&self, ticket: &CommitTicket) -> Result<bool> {
-        Ok(self.shared.durable_guard()?.durable_lsn >= ticket.lsn.0)
+        Ok(self
+            .shared
+            .durable_guard()?
+            .reports_durable(ticket.txn, ticket.lsn))
     }
 
     /// Forces a partial-page flush and blocks until every commit issued
@@ -211,7 +214,7 @@ impl Engine {
             if d.crashed {
                 return Err(Error::Shutdown);
             }
-            if d.outstanding == 0 {
+            if d.outstanding == 0 && d.finalizing.is_empty() {
                 return Ok(());
             }
             d = self
@@ -347,6 +350,7 @@ impl Session {
     pub fn begin(&self) -> Result<Txn> {
         let id = self.shared.alloc_txn();
         self.shared.txns.register(id)?;
+        self.shared.note_begin();
         match self
             .shared
             .append(vec![(LogRecord::Begin { txn: id }, None)], false)
@@ -358,6 +362,7 @@ impl Session {
             }
             Err(e) => {
                 let _ = self.shared.txns.remove(id);
+                self.shared.leave_active();
                 Err(e)
             }
         }
@@ -459,11 +464,7 @@ impl Session {
             if meta.phase != TxnPhase::Active {
                 return Err(Error::InvalidTransaction(id.0));
             }
-            if self
-                .shared
-                .txns
-                .claim(id, meta.mask, TxnPhase::Precommitted)?
-            {
+            if self.shared.claim(id, meta.mask, TxnPhase::Precommitted)? {
                 break meta;
             }
         };
@@ -525,11 +526,12 @@ impl Session {
     }
 
     /// Blocks until the ticket's transaction is durable (its page and
-    /// every earlier page on disk).
+    /// every earlier page on disk) and finalized: its undo entries are
+    /// dropped and it has left the transaction table.
     pub fn wait_durable(&self, ticket: &CommitTicket) -> Result<()> {
         let mut d = self.shared.durable_guard()?;
         loop {
-            if d.durable_lsn >= ticket.lsn.0 {
+            if d.reports_durable(ticket.txn, ticket.lsn) {
                 return Ok(());
             }
             if let Some(e) = &d.failure {
@@ -546,9 +548,12 @@ impl Session {
         }
     }
 
-    /// True once the ticket's transaction is durable.
+    /// True once the ticket's transaction is durable and finalized.
     pub fn is_durable(&self, ticket: &CommitTicket) -> Result<bool> {
-        Ok(self.shared.durable_guard()?.durable_lsn >= ticket.lsn.0)
+        Ok(self
+            .shared
+            .durable_guard()?
+            .reports_durable(ticket.txn, ticket.lsn))
     }
 
     /// Aborts `txn`: undoes its writes from the undo list (reverse
@@ -575,7 +580,7 @@ impl Session {
             if meta.phase != TxnPhase::Active {
                 return Err(Error::InvalidTransaction(txn.0));
             }
-            if self.shared.txns.claim(txn, meta.mask, TxnPhase::Aborting)? {
+            if self.shared.claim(txn, meta.mask, TxnPhase::Aborting)? {
                 break meta.mask;
             }
         };
@@ -587,6 +592,9 @@ impl Session {
             .shared
             .append(vec![(LogRecord::Abort { txn }, None)], false);
         drop(guards);
+        // One fewer active transaction may leave a queued commit with no
+        // sibling to wait for: let the daemon re-check.
+        self.shared.queue_cv.notify_all();
         let _ = self.shared.txns.remove(txn);
         self.shared.metrics.aborts.inc();
         self.shared.notify_shards(mask);

@@ -23,7 +23,11 @@ pub enum CommitPolicy {
     Synchronous,
     /// Commit records accumulate until a page fills (or the group timeout
     /// fires); one page write commits the whole group and the committer
-    /// is *pre-committed* in between, holding no locks.
+    /// is *pre-committed* in between, holding no locks. A commit that no
+    /// other transaction can still join — none active, and every
+    /// committer released by an earlier page begun again — is flushed
+    /// as soon as a log writer is free, instead of waiting out the
+    /// timeout.
     Group,
     /// Group commit striped round-robin over `devices` log devices, the
     /// §5.2 recipe for pushing past one device's page rate.
@@ -70,12 +74,15 @@ pub struct EngineOptions {
     /// Directory the log device files live in.
     pub log_dir: PathBuf,
     /// Group-commit timeout (§5.2's answer to "what if the page never
-    /// fills?"). A full page is cut at once; a partial page is cut once
-    /// the queue has gone this long with no new append — every append
-    /// wakes the daemon and restarts the wait, so under steady traffic
-    /// the bound is on the gap between appends, not on the age of the
-    /// oldest queued record. An idle engine (empty queue) does not wake
-    /// at all.
+    /// fills?"). A full page is cut at once, and so is a partial page
+    /// holding a commit that no other transaction can still join (see
+    /// [`CommitPolicy::Group`]). Otherwise a partial page is cut once the
+    /// queue has gone this long with no new commit — each commit wakes
+    /// the daemon and restarts the wait (other records do not), so under
+    /// steady traffic the bound is on the gap between commits, not on
+    /// the age of the oldest queued record. The wait runs only while a
+    /// log writer is free to take the page, and an idle engine (empty
+    /// queue) does not wake at all.
     pub flush_interval: Duration,
     /// How long a writer waits on a lock before giving up with a
     /// conflict error (deadlock victims abort much sooner).

@@ -316,7 +316,7 @@ pub(crate) fn replay_dir(dir: &Path) -> Result<RecoveredImage> {
 }
 
 /// Writes an image into `device` as one synthetic committed transaction
-/// (id 0), page by page, returning the next free LSN. An empty image
+/// (id 0) and syncs it once, returning the next free LSN. An empty image
 /// still writes its begin/commit pair: the commit record is what marks
 /// the generation's snapshot as complete (see [`snapshot_complete`]).
 /// With `marker` set this becomes a §5.3 *online checkpoint* generation:
@@ -328,29 +328,48 @@ pub(crate) fn write_snapshot(
     page_bytes: usize,
     marker: Option<(Lsn, u64)>,
 ) -> Result<u64> {
-    let mut lsn = 1u64;
-    let mut page: Vec<(Lsn, LogRecord)> = Vec::new();
-    let mut bytes = 0usize;
+    let mut records = snapshot_records(image.iter(), marker);
+    records.push(LogRecord::Commit { txn: TxnId(0) });
+    write_packed(device, records, page_bytes)
+}
+
+/// The head of a snapshot transaction (id 0): its begin record, the
+/// optional §5.3 checkpoint marker, and one insert per image entry.
+pub(crate) fn snapshot_records<'a>(
+    image: impl ExactSizeIterator<Item = (&'a u64, &'a i64)>,
+    marker: Option<(Lsn, u64)>,
+) -> Vec<LogRecord> {
     let mut records: Vec<LogRecord> = Vec::with_capacity(image.len() + 3);
     records.push(LogRecord::Begin { txn: TxnId(0) });
     if let Some((start, next_txn)) = marker {
         records.push(LogRecord::Checkpoint { start, next_txn });
     }
-    for (key, value) in image {
-        records.push(LogRecord::Update {
-            txn: TxnId(0),
-            key: *key,
-            old: None,
-            new: *value,
-            padding: 0,
-        });
-    }
-    records.push(LogRecord::Commit { txn: TxnId(0) });
+    records.extend(image.map(|(key, value)| LogRecord::Update {
+        txn: TxnId(0),
+        key: *key,
+        old: None,
+        new: *value,
+        padding: 0,
+    }));
+    records
+}
+
+/// Packs `records` greedily into pages of `page_bytes` accounted bytes,
+/// numbering them from LSN 1, and appends every page with one sync.
+/// Returns the next free LSN.
+pub(crate) fn write_packed(
+    device: &mut WalDevice,
+    records: Vec<LogRecord>,
+    page_bytes: usize,
+) -> Result<u64> {
+    let mut pages: Vec<Vec<(Lsn, LogRecord)>> = Vec::new();
+    let mut page: Vec<(Lsn, LogRecord)> = Vec::new();
+    let mut bytes = 0usize;
+    let mut lsn = 1u64;
     for rec in records {
         let size = rec.byte_size();
         if !page.is_empty() && bytes + size > page_bytes {
-            device.append_page(&page)?;
-            page.clear();
+            pages.push(std::mem::take(&mut page));
             bytes = 0;
         }
         page.push((Lsn(lsn), rec));
@@ -358,8 +377,9 @@ pub(crate) fn write_snapshot(
         bytes += size;
     }
     if !page.is_empty() {
-        device.append_page(&page)?;
+        pages.push(page);
     }
+    device.append_pages(pages.iter().map(Vec::as_slice))?;
     Ok(lsn)
 }
 
@@ -383,10 +403,11 @@ impl Engine {
             .collect();
         let live_generation = image.max_generation + 1;
         let mut devices = open_devices(&options, live_generation)?;
-        // Snapshot before deleting anything: `append_page` syncs every
-        // page, so by the time the old generation goes away the new one
-        // is durably complete. A crash in between leaves both on disk
-        // and `replay_dir` picks the newest complete generation.
+        // Snapshot before deleting anything: `write_snapshot` returns
+        // only after its final sync, so by the time the old generation
+        // goes away the new one is durably complete. A crash in between
+        // leaves both on disk and `replay_dir` picks the newest complete
+        // generation.
         let first = devices
             .first_mut()
             .ok_or_else(|| Error::Io("no log devices configured".into()))?;

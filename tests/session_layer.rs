@@ -8,8 +8,8 @@ use mmdb_recovery::{LogRecord, Lsn};
 use mmdb_session::{CommitPolicy, Engine, EngineOptions};
 use mmdb_types::{Auditable, Error, TxnId};
 use proptest::prelude::*;
-use std::path::PathBuf;
-use std::time::Duration;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mmdb-session-e2e-{}-{name}", std::process::id()));
@@ -42,13 +42,14 @@ fn crash_with_parked_daemon_recovers_durable_prefix_only() {
     assert!(engine.is_durable(&ticket1).unwrap());
     assert!(engine.is_durable(&ticket2).unwrap());
 
-    // These commit records sit in the parked daemon's queue: the
-    // sessions are pre-committed (locks gone) but not durable.
+    // These records sit in the parked daemon's queue: t3 is
+    // pre-committed (locks gone) but not durable, because the open t4
+    // could still join its group.
     let t3 = s.begin().unwrap();
     s.write(&t3, 1, 111).unwrap();
     s.write(&t3, 3, 30).unwrap();
-    let ticket3 = s.commit(t3).unwrap();
     let t4 = s.begin().unwrap();
+    let ticket3 = s.commit(t3).unwrap();
     s.write(&t4, 4, 40).unwrap();
     assert!(!engine.is_durable(&ticket3).unwrap());
     assert_eq!(
@@ -72,6 +73,106 @@ fn crash_with_parked_daemon_recovers_durable_prefix_only() {
     assert_eq!(engine.read(2).unwrap(), Some(20));
     assert_eq!(engine.read(3).unwrap(), None);
     assert_eq!(engine.read(4).unwrap(), None);
+    engine.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Group-commit options whose timer never fires within a test: every
+/// page these tests see is cut by the no-sibling rule.
+fn long_timer_options(dir: &Path) -> EngineOptions {
+    EngineOptions::new(CommitPolicy::Group, dir)
+        .with_page_write_latency(Duration::ZERO)
+        .with_flush_interval(Duration::from_secs(5))
+}
+
+/// A commit with no other transaction to wait for is flushed at once:
+/// the group timer only pays off when a sibling can join the page.
+#[test]
+fn lone_commit_does_not_wait_out_the_group_timer() {
+    let dir = tmp_dir("lone");
+    let engine = Engine::start(long_timer_options(&dir)).unwrap();
+    let s = engine.session();
+    let t = s.begin().unwrap();
+    s.write(&t, 1, 10).unwrap();
+    let started = Instant::now();
+    s.commit_durable(t).unwrap();
+    let waited = started.elapsed();
+    assert!(
+        waited < Duration::from_secs(1),
+        "a lone commit waited {waited:?} for a group that could not form"
+    );
+    engine.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// While another transaction is open, a commit waits for it: once the
+/// sibling commits, both become durable together on one page.
+#[test]
+fn commit_waits_for_an_active_sibling() {
+    let dir = tmp_dir("sibling");
+    let engine = Engine::start(long_timer_options(&dir)).unwrap();
+    let s = engine.session();
+    let a = s.begin().unwrap();
+    s.write(&a, 1, 10).unwrap();
+    let b = s.begin().unwrap();
+    s.write(&b, 2, 20).unwrap();
+    let ticket_a = s.commit(a).unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+    assert!(
+        !engine.is_durable(&ticket_a).unwrap(),
+        "the open sibling keeps the group waiting"
+    );
+    let started = Instant::now();
+    let ticket_b = s.commit(b).unwrap();
+    s.wait_durable(&ticket_a).unwrap();
+    s.wait_durable(&ticket_b).unwrap();
+    let waited = started.elapsed();
+    assert!(
+        waited < Duration::from_secs(1),
+        "the completed group waited {waited:?}"
+    );
+    assert_eq!(
+        engine.pages_written().unwrap(),
+        1,
+        "both commits share a page"
+    );
+    engine.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Committers that leave after their last commit stop holding groups
+/// open once one group timeout has passed without them.
+#[test]
+fn departed_committers_hold_groups_for_one_timeout_only() {
+    let dir = tmp_dir("departed");
+    let opts = EngineOptions::new(CommitPolicy::Group, &dir)
+        .with_page_write_latency(Duration::ZERO)
+        .with_flush_interval(Duration::from_secs(1));
+    let engine = Engine::start(opts).unwrap();
+    // Two committers share a page, then never begin again.
+    let gone = engine.session();
+    let a = gone.begin().unwrap();
+    gone.write(&a, 1, 10).unwrap();
+    let b = gone.begin().unwrap();
+    gone.write(&b, 2, 10).unwrap();
+    let ticket_a = gone.commit(a).unwrap();
+    let ticket_b = gone.commit(b).unwrap();
+    gone.wait_durable(&ticket_a).unwrap();
+    gone.wait_durable(&ticket_b).unwrap();
+    drop(gone);
+    let s = engine.session();
+    let mut waits = Vec::new();
+    for key in [3, 4] {
+        let t = s.begin().unwrap();
+        s.write(&t, key, 10).unwrap();
+        let started = Instant::now();
+        s.commit_durable(t).unwrap();
+        waits.push(started.elapsed());
+    }
+    assert!(
+        waits[1] < Duration::from_millis(500),
+        "commits still waited for departed committers: {waits:?}"
+    );
     engine.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
