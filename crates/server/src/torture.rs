@@ -28,6 +28,10 @@
 //!   shape a naive caller would blindly retry.
 //! * **Nobody hangs.** Every deadline is finite; the xtask watchdog
 //!   bounds the whole sweep.
+//! * **Indexes match rows.** The SQL catalog's equality indexes, built
+//!   by the workload's `WHERE id =` statements and maintained through
+//!   its rollbacks, pass the catalog audit on the workload's server
+//!   once its clients finish, and again on the recovered one.
 //!
 //! Run as `cargo xtask torture --server --seeds N`.
 
@@ -456,6 +460,12 @@ fn run_workload(
         transfers.extend(client_transfers);
     }
 
+    // Every client is done: the equality indexes the point statements
+    // built must match the rows after the chaos, deadlock victims'
+    // rollbacks included.
+    handle
+        .audit_catalog()
+        .map_err(|e| violation(seed, format!("catalog audit after the workload: {e}")))?;
     // Drain: every in-flight request finishes and is answered.
     handle.shutdown()?;
     Ok((engine, transfers))
@@ -591,6 +601,9 @@ pub fn run_server_seed(seed: u64, log_dir: &Path) -> Result<TortureReport> {
     if probe.rows.len() != 1 {
         return Err(violation(seed, "liveness probe row missing".to_string()));
     }
+    handle
+        .audit_catalog()
+        .map_err(|e| violation(seed, format!("catalog audit after recovery: {e}")))?;
 
     handle.shutdown()?;
     engine.shutdown()?;

@@ -16,7 +16,8 @@
 //!   transactions.
 //! * [`catalog`] — the volatile in-memory mirror of that durable
 //!   image: schemas plus decoded rows, rebuilt from a store snapshot
-//!   after recovery.
+//!   after recovery, with lazily built per-column equality indexes
+//!   (the §2 hash index) that `col = literal` statements probe.
 //! * [`query`] — the binder/planner bridge: resolves names, splits
 //!   `WHERE` conjunctions into per-table predicates and join edges,
 //!   feeds them to the §4 selectivity planner, and executes the chosen

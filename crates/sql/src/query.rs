@@ -10,7 +10,7 @@
 //! mechanics.
 
 use crate::ast::{ColRef, Condition, Literal, Projection, SelectStmt, SetExpr};
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, Probe};
 use mmdb_exec::join::{run_join, Algo};
 use mmdb_exec::{select, ExecContext, JoinSpec};
 use mmdb_planner::optimizer::PlanEnv;
@@ -20,7 +20,7 @@ use mmdb_planner::{
 };
 use mmdb_storage::MemRelation;
 use mmdb_types::error::{Error, Result};
-use mmdb_types::expr::Predicate;
+use mmdb_types::expr::{CmpOp, Predicate};
 use mmdb_types::ids::TxnId;
 use mmdb_types::schema::{DataType, Schema};
 use mmdb_types::tuple::Tuple;
@@ -227,14 +227,26 @@ pub fn apply_sets(schema: &Schema, old: &Tuple, sets: &[(usize, BoundSetExpr)]) 
     Ok(tuple)
 }
 
+/// A bound single-table `WHERE`: the whole conjunction, plus its first
+/// `col = literal` conjunct — the one an equality index answers.
+#[derive(Debug, Clone)]
+pub struct BoundFilter {
+    /// Every conjunct.
+    pub pred: Predicate,
+    /// `(column, value)` of the first equality conjunct, with the value
+    /// coerced to the column type exactly as in `pred`.
+    pub point: Option<(usize, Value)>,
+}
+
 /// Binds the `WHERE` conjuncts of an `UPDATE`/`DELETE` (single-table:
 /// every condition must compare a column of `table` with a literal).
 pub fn bind_table_predicate(
     table: &str,
     schema: &Schema,
     conditions: &[Condition],
-) -> Result<Predicate> {
+) -> Result<BoundFilter> {
     let mut pred = Predicate::True;
+    let mut point = None;
     for cond in conditions {
         match cond {
             Condition::Compare { col, op, lit } => {
@@ -251,6 +263,9 @@ pub fn bind_table_predicate(
                     .map(|c| c.ty)
                     .ok_or_else(|| Error::ColumnNotFound(col.column.clone()))?;
                 let value = coerce(lit.to_value(), ty);
+                if *op == CmpOp::Eq && point.is_none() {
+                    point = Some((idx, value.clone()));
+                }
                 let leaf = Predicate::cmp(idx, *op, value);
                 pred = conjoin(pred, leaf);
             }
@@ -261,7 +276,7 @@ pub fn bind_table_predicate(
             }
         }
     }
-    Ok(pred)
+    Ok(BoundFilter { pred, point })
 }
 
 fn conjoin(acc: Predicate, leaf: Predicate) -> Predicate {
@@ -373,9 +388,10 @@ fn execute_plan(
             let rel = to_relation(table_by_name(table)?)?;
             select::select(&rel, predicate, ctx)
         }
-        // SQL tables carry no indexes today, so the planner cannot pick
-        // these — but execute them faithfully as filtered scans if a
-        // future catalog grows index metadata.
+        // The planner sees no index metadata (`compute_stats` reports
+        // none), so it never picks these; the equality index has
+        // already narrowed the snapshot in `snapshot_tables`. Execute
+        // them faithfully as filtered scans should it ever do so.
         PhysicalPlan::Access(AccessPath::IndexLookup {
             table,
             column,
@@ -431,12 +447,20 @@ fn execute_plan(
 /// catalog read lock, release the lock, and hand the snapshots to
 /// [`run_select_on`] so planning and join execution never stall
 /// writers.
+///
+/// A table that the `WHERE` clause filters by `col = literal` (the
+/// first such conjunct, its column resolved as `resolve` does)
+/// contributes only the rows its equality index returns for that
+/// value, in row-id order; [`run_select_on`] still applies every
+/// predicate. Missing indexes are reported as [`Probe::Unindexed`]
+/// before any row is copied.
 pub fn snapshot_tables(
     stmt: &SelectStmt,
     catalog: &Catalog,
     viewer: Option<TxnId>,
-) -> Result<Vec<BoundTable>> {
+) -> Result<Probe<Vec<BoundTable>>> {
     let mut tables: Vec<BoundTable> = Vec::with_capacity(stmt.tables.len());
+    let mut entries = Vec::with_capacity(stmt.tables.len());
     for name in &stmt.tables {
         let lower = name.to_ascii_lowercase();
         if tables.iter().any(|t| t.name == lower) {
@@ -448,10 +472,68 @@ pub fn snapshot_tables(
         tables.push(BoundTable {
             name: lower,
             schema: entry.schema.clone(),
-            tuples: entry.rows.values().cloned().collect(),
+            tuples: Vec::new(),
         });
+        entries.push(entry);
     }
-    Ok(tables)
+    // Each table's index-matched rids (`None`: the whole table), or
+    // the indexes still to build.
+    let mut matched = Vec::with_capacity(tables.len());
+    let mut missing = Vec::new();
+    for ((t, entry), point) in tables
+        .iter()
+        .zip(&entries)
+        .zip(point_conjuncts(stmt, &tables))
+    {
+        let rids = point.and_then(|(column, key)| {
+            let rids = entry.lookup(column, &key);
+            if rids.is_none() {
+                missing.push((t.name.clone(), column));
+            }
+            rids
+        });
+        matched.push(rids);
+    }
+    if !missing.is_empty() {
+        return Ok(Probe::Unindexed(missing));
+    }
+    for ((t, entry), rids) in tables.iter_mut().zip(&entries).zip(matched) {
+        t.tuples = match rids {
+            Some(rids) => rids
+                .iter()
+                .filter_map(|rid| entry.rows().get(rid).cloned())
+                .collect(),
+            None => entry.rows().values().cloned().collect(),
+        };
+    }
+    Ok(Probe::Done(tables))
+}
+
+/// The first `col = literal` conjunct of each `FROM` table, its value
+/// coerced as [`run_select_on`] coerces it. A condition that does not
+/// resolve is skipped here; [`run_select_on`] reports it.
+fn point_conjuncts(stmt: &SelectStmt, tables: &[BoundTable]) -> Vec<Option<(usize, Value)>> {
+    let mut points: Vec<Option<(usize, Value)>> = tables.iter().map(|_| None).collect();
+    for cond in &stmt.conditions {
+        if let Condition::Compare {
+            col,
+            op: CmpOp::Eq,
+            lit,
+        } = cond
+        {
+            let Ok((ti, ci)) = resolve(col, tables) else {
+                continue;
+            };
+            let ty = tables
+                .get(ti)
+                .and_then(|t| t.schema.column(ci))
+                .map(|c| c.ty);
+            if let (Some(slot @ None), Some(ty)) = (points.get_mut(ti), ty) {
+                *slot = Some((ci, coerce(lit.to_value(), ty)));
+            }
+        }
+    }
+    points
 }
 
 /// Plans and executes a bound `SELECT` over pre-snapshotted tables.
@@ -579,15 +661,17 @@ pub fn run_select_on(stmt: &SelectStmt, tables: Vec<BoundTable>) -> Result<Query
     })
 }
 
-/// Snapshot + plan + execute in one call. The session splits the two
-/// phases to scope the catalog lock; this composition serves callers
-/// (and tests) that already hold the catalog.
+/// Snapshot + plan + execute in one call, building any equality index
+/// the snapshot needs. The session splits the phases to scope the
+/// catalog lock; this composition serves callers (and tests) that
+/// already hold the catalog exclusively.
 pub fn run_select(
     stmt: &SelectStmt,
-    catalog: &Catalog,
+    catalog: &mut Catalog,
     viewer: Option<TxnId>,
 ) -> Result<QueryResult> {
-    run_select_on(stmt, snapshot_tables(stmt, catalog, viewer)?)
+    let tables = catalog.read_indexed(|c| snapshot_tables(stmt, c, viewer))?;
+    run_select_on(stmt, tables)
 }
 
 #[cfg(test)]
@@ -620,30 +704,12 @@ mod tests {
         let mut dept_rows = BTreeMap::new();
         dept_rows.insert(0, Tuple::new(vec![Value::Int(1), "eng".into()]));
         dept_rows.insert(1, Tuple::new(vec![Value::Int(2), "ops".into()]));
-        c.install(
-            "emp",
-            TableEntry {
-                id: 0,
-                schema: emp_schema,
-                rows: emp_rows,
-                next_rid: 3,
-                pending_owner: None,
-            },
-        );
-        c.install(
-            "dept",
-            TableEntry {
-                id: 1,
-                schema: dept_schema,
-                rows: dept_rows,
-                next_rid: 2,
-                pending_owner: None,
-            },
-        );
+        c.install("emp", TableEntry::new(0, emp_schema, emp_rows, 3, None));
+        c.install("dept", TableEntry::new(1, dept_schema, dept_rows, 2, None));
         c
     }
 
-    fn select(cat: &Catalog, sql: &str) -> QueryResult {
+    fn select(cat: &mut Catalog, sql: &str) -> QueryResult {
         match parse(sql).unwrap() {
             Statement::Select(s) => run_select(&s, cat, None).unwrap(),
             other => panic!("not a select: {other:?}"),
@@ -652,8 +718,8 @@ mod tests {
 
     #[test]
     fn single_table_filter_and_projection() {
-        let cat = catalog();
-        let r = select(&cat, "SELECT name FROM emp WHERE dept_id = 1");
+        let mut cat = catalog();
+        let r = select(&mut cat, "SELECT name FROM emp WHERE dept_id = 1");
         assert_eq!(r.columns, vec!["name"]);
         assert_eq!(
             r.rows,
@@ -666,17 +732,17 @@ mod tests {
 
     #[test]
     fn star_on_single_table_uses_plain_names() {
-        let cat = catalog();
-        let r = select(&cat, "SELECT * FROM dept WHERE id >= 2");
+        let mut cat = catalog();
+        let r = select(&mut cat, "SELECT * FROM dept WHERE id >= 2");
         assert_eq!(r.columns, vec!["id", "title"]);
         assert_eq!(r.rows.len(), 1);
     }
 
     #[test]
     fn equi_join_projects_across_tables() {
-        let cat = catalog();
+        let mut cat = catalog();
         let r = select(
-            &cat,
+            &mut cat,
             "SELECT emp.name, dept.title FROM emp JOIN dept ON emp.dept_id = dept.id \
              WHERE dept.title = 'eng'",
         );
@@ -690,30 +756,87 @@ mod tests {
         assert_eq!(names, vec!["ann", "cat"]);
     }
 
+    fn parse_select(sql: &str) -> SelectStmt {
+        match parse(sql).unwrap() {
+            Statement::Select(s) => s,
+            other => panic!("not a select: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn point_conjunct_narrows_the_snapshot_through_an_index() {
+        let mut cat = catalog();
+        let s = parse_select("SELECT name FROM emp WHERE dept_id >= 1 AND dept_id = 1");
+        // The first read asks for the index and copies nothing.
+        match snapshot_tables(&s, &cat, None).unwrap() {
+            Probe::Unindexed(missing) => assert_eq!(missing, vec![("emp".to_string(), 2)]),
+            Probe::Done(_) => panic!("snapshot without the index it needs"),
+        }
+        let tables = cat.read_indexed(|c| snapshot_tables(&s, c, None)).unwrap();
+        let names: Vec<&Value> = tables[0].tuples.iter().map(|t| t.get(1)).collect();
+        assert_eq!(names, vec![&Value::from("ann"), &Value::from("cat")]);
+        // In a join only the filtered table narrows; the other is whole.
+        let s = parse_select(
+            "SELECT emp.name FROM emp JOIN dept ON emp.dept_id = dept.id WHERE title = 'ops'",
+        );
+        let tables = cat.read_indexed(|c| snapshot_tables(&s, c, None)).unwrap();
+        assert_eq!(tables[0].tuples.len(), 3);
+        assert_eq!(tables[1].tuples.len(), 1);
+        assert!(cat
+            .table("dept", None)
+            .unwrap()
+            .lookup(1, &Value::Null)
+            .is_some());
+        let r = run_select_on(&s, tables).unwrap();
+        assert_eq!(r.rows, vec![vec![Value::from("bob")]]);
+    }
+
+    #[test]
+    fn unresolvable_point_conjuncts_fall_back_to_the_scan_error() {
+        let mut cat = catalog();
+        // `id` is ambiguous across the join: no index is built, and the
+        // planner reports the ambiguity as before.
+        let s = parse_select(
+            "SELECT emp.name FROM emp JOIN dept ON emp.dept_id = dept.id WHERE id = 1",
+        );
+        let e = run_select(&s, &mut cat, None).unwrap_err();
+        assert!(e.to_string().contains("ambiguous"), "{e}");
+        assert!(cat
+            .table("emp", None)
+            .unwrap()
+            .lookup(0, &Value::Null)
+            .is_none());
+        assert!(cat
+            .table("dept", None)
+            .unwrap()
+            .lookup(0, &Value::Null)
+            .is_none());
+    }
+
     #[test]
     fn disconnected_join_is_an_error() {
-        let cat = catalog();
+        let mut cat = catalog();
         let s = match parse("SELECT * FROM emp, dept").unwrap() {
             Statement::Select(s) => s,
             _ => unreachable!(),
         };
-        assert!(run_select(&s, &cat, None).is_err());
+        assert!(run_select(&s, &mut cat, None).is_err());
     }
 
     #[test]
     fn ambiguous_and_unknown_columns_error() {
-        let cat = catalog();
+        let mut cat = catalog();
         let s = match parse("SELECT id FROM emp JOIN dept ON emp.dept_id = dept.id").unwrap() {
             Statement::Select(s) => s,
             _ => unreachable!(),
         };
-        let e = run_select(&s, &cat, None).unwrap_err();
+        let e = run_select(&s, &mut cat, None).unwrap_err();
         assert!(e.to_string().contains("ambiguous"), "{e}");
         let s = match parse("SELECT nope FROM emp").unwrap() {
             Statement::Select(s) => s,
             _ => unreachable!(),
         };
-        assert!(run_select(&s, &cat, None).is_err());
+        assert!(run_select(&s, &mut cat, None).is_err());
     }
 
     #[test]
@@ -770,9 +893,18 @@ mod tests {
             Statement::Delete { conditions, .. } => conditions,
             _ => unreachable!(),
         };
-        let p = bind_table_predicate("t", &schema, &conds).unwrap();
-        assert!(p.eval(&Tuple::new(vec![Value::Int(7)])));
-        assert!(!p.eval(&Tuple::new(vec![Value::Int(4)])));
+        let f = bind_table_predicate("t", &schema, &conds).unwrap();
+        assert!(f.pred.eval(&Tuple::new(vec![Value::Int(7)])));
+        assert!(!f.pred.eval(&Tuple::new(vec![Value::Int(4)])));
+        assert!(f.point.is_none(), "no equality conjunct");
+        // The first equality conjunct, coerced to the column type.
+        let schema = Schema::of(&[("id", DataType::Int), ("x", DataType::Float)]);
+        let conds = match parse("DELETE FROM t WHERE id > 1 AND x = 2 AND id = 3").unwrap() {
+            Statement::Delete { conditions, .. } => conditions,
+            _ => unreachable!(),
+        };
+        let f = bind_table_predicate("t", &schema, &conds).unwrap();
+        assert!(matches!(f.point, Some((1, Value::Float(x))) if x == 2.0));
         let conds = match parse("DELETE FROM t WHERE other.id = 5").unwrap() {
             Statement::Delete { conditions, .. } => conditions,
             _ => unreachable!(),

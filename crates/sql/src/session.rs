@@ -29,14 +29,28 @@
 //! Statements outside an explicit `BEGIN` autocommit: they run in a
 //! fresh transaction committed durably (`commit_durable`) before the
 //! result returns.
+//!
+//! # Access paths
+//!
+//! `UPDATE`/`DELETE` find their rows in `scan_matching`: with a
+//! `col = literal` conjunct the candidates are the rids the column's
+//! equality index holds for that literal (the index is built on first
+//! use, see [`crate::catalog`]), otherwise every row; either way they
+//! are filtered by the whole predicate and visited in ascending rid
+//! order, each locked and rechecked against the engine's copy. Every
+//! mirror change — the statements' and both undo arms' — goes through
+//! `TableEntry::put_row` / `remove_row`, which keep the indexes in
+//! step.
 
 use crate::ast::{Condition, Literal, SetExpr, Statement};
-use crate::catalog::{SharedCatalog, TableEntry};
+use crate::catalog::{Probe, SharedCatalog, TableEntry};
 use crate::codec;
 use crate::parser::{parse, ParseError};
 use crate::query::{self, QueryResult};
 use mmdb_session::{Engine, Session, Txn};
+use mmdb_types::audit::Auditable;
 use mmdb_types::error::{Error, Result};
+use mmdb_types::expr::Predicate;
 use mmdb_types::ids::TxnId;
 use mmdb_types::schema::{Column, DataType, Schema};
 use mmdb_types::tuple::Tuple;
@@ -249,13 +263,13 @@ impl SqlDb {
             for (table_id, (name, schema)) in &by_id {
                 cat.install(
                     name,
-                    TableEntry {
-                        id: *table_id,
-                        schema: schema.clone(),
-                        rows: rows.remove(table_id).unwrap_or_default(),
-                        next_rid: next_rid.get(table_id).copied().unwrap_or(0),
-                        pending_owner: None,
-                    },
+                    TableEntry::new(
+                        *table_id,
+                        schema.clone(),
+                        rows.remove(table_id).unwrap_or_default(),
+                        next_rid.get(table_id).copied().unwrap_or(0),
+                        None,
+                    ),
                 );
             }
             Ok(())
@@ -270,6 +284,15 @@ impl SqlDb {
             txn: None,
             undo: Vec::new(),
         }
+    }
+
+    /// Audits the catalog mirror ([`Catalog`]'s [`Auditable`] impl):
+    /// every equality index equals its rebuild from the rows.
+    ///
+    /// [`Catalog`]: crate::catalog::Catalog
+    pub fn audit_catalog(&self) -> Result<()> {
+        self.catalog
+            .with_catalog_read(|c| c.audit().map_err(Error::from))
     }
 
     /// Committed table names currently in the catalog, sorted; tables
@@ -349,7 +372,7 @@ impl SqlSession {
                 let tables = self
                     .db
                     .catalog
-                    .with_catalog_read(|c| query::snapshot_tables(sel, c, viewer))
+                    .with_indexes(|c| query::snapshot_tables(sel, c, viewer))
                     .map_err(SqlError::Exec)?;
                 query::run_select_on(sel, tables).map_err(SqlError::Exec)
             }
@@ -463,7 +486,7 @@ impl SqlSession {
                 match op {
                     UndoOp::RemoveRow { ref table, rid } => {
                         if let Ok(entry) = cat.table_mut_any(table) {
-                            entry.rows.remove(&rid);
+                            entry.remove_row(rid);
                         }
                     }
                     UndoOp::RestoreRow {
@@ -478,8 +501,8 @@ impl SqlSession {
                             // else means a successor overwrote the row
                             // after the engine released our locks, and
                             // its value is the correct one.
-                            if entry.rows.get(&rid) == wrote.as_ref() {
-                                entry.rows.insert(rid, tuple.clone());
+                            if entry.rows().get(&rid) == wrote.as_ref() {
+                                entry.put_row(rid, tuple.clone());
                             }
                         }
                     }
@@ -550,13 +573,7 @@ fn create_table(
         let blob = codec::encode_schema(name, &schema)?;
         cat.install(
             name,
-            TableEntry {
-                id,
-                schema: schema.clone(),
-                rows: BTreeMap::new(),
-                next_rid: 0,
-                pending_owner: Some(txn.id()),
-            },
+            TableEntry::new(id, schema.clone(), BTreeMap::new(), 0, Some(txn.id())),
         );
         Ok((id, blob))
     })?;
@@ -605,9 +622,7 @@ fn insert(
             codec::row_key(table_id, rid, chunk)
         })?;
         db.catalog.with_catalog_write(|cat| {
-            cat.table_mut(table, viewer)?
-                .rows
-                .insert(rid, tuple.clone());
+            cat.table_mut(table, viewer)?.put_row(rid, tuple);
             Ok(())
         })?;
         undo.push(UndoOp::RemoveRow {
@@ -618,34 +633,47 @@ fn insert(
     Ok(QueryResult::affected(count))
 }
 
-/// Snapshot of the rows an `UPDATE`/`DELETE` will touch, plus what it
-/// needs to touch them.
+/// What an `UPDATE`/`DELETE` will touch: the ids of the rows that
+/// matched, ascending (the row-lock order), plus the bound predicate
+/// each is rechecked against once locked.
 struct MutationScan {
     table_id: u32,
     schema: Schema,
-    matches: Vec<(u32, Tuple)>,
+    pred: Predicate,
+    rids: Vec<u32>,
 }
 
+/// Finds the rows an `UPDATE`/`DELETE` matches. With a `col = literal`
+/// conjunct the candidates come from that column's equality index
+/// (built here on first use); otherwise every row is scanned. Either
+/// way each candidate is filtered by the whole predicate.
 fn scan_matching(
     db: &SqlDb,
     viewer: Option<TxnId>,
     table: &str,
     conditions: &[Condition],
 ) -> Result<MutationScan> {
-    db.catalog.with_catalog_read(|cat| {
+    db.catalog.with_indexes(|cat| {
         let entry = cat.table(table, viewer)?;
-        let pred = query::bind_table_predicate(table, &entry.schema, conditions)?;
-        let matches = entry
-            .rows
-            .iter()
-            .filter(|(_, t)| pred.eval(t))
-            .map(|(rid, t)| (*rid, t.clone()))
-            .collect();
-        Ok(MutationScan {
+        let filter = query::bind_table_predicate(table, &entry.schema, conditions)?;
+        let matches = |(rid, t): (&u32, &Tuple)| filter.pred.eval(t).then_some(*rid);
+        let rids = match &filter.point {
+            Some((column, key)) => match entry.lookup(*column, key) {
+                Some(candidates) => candidates
+                    .iter()
+                    .filter_map(|rid| entry.rows().get_key_value(rid))
+                    .filter_map(matches)
+                    .collect(),
+                None => return Ok(Probe::Unindexed(vec![(table.to_string(), *column)])),
+            },
+            None => entry.rows().iter().filter_map(matches).collect(),
+        };
+        Ok(Probe::Done(MutationScan {
             table_id: entry.id,
             schema: entry.schema.clone(),
-            matches,
-        })
+            pred: filter.pred,
+            rids,
+        }))
     })
 }
 
@@ -714,13 +742,12 @@ fn update(
 ) -> Result<QueryResult> {
     let scan = scan_matching(db, Some(txn.id()), table, conditions)?;
     let bound_sets = query::bind_sets(&scan.schema, sets)?;
-    let pred = query::bind_table_predicate(table, &scan.schema, conditions)?;
     let mut affected = 0u64;
-    for (rid, _) in scan.matches {
+    for rid in scan.rids {
         // The scan ran unlocked; lock the row, then recheck against its
         // current value (it may have changed or stopped matching).
         let current = match lock_and_refetch(db, txn, scan.table_id, rid, scan.schema.arity())? {
-            Some(t) if pred.eval(&t) => t,
+            Some(t) if scan.pred.eval(&t) => t,
             _ => continue,
         };
         let new = query::apply_sets(&scan.schema, &current, &bound_sets)?;
@@ -730,8 +757,7 @@ fn update(
         })?;
         db.catalog.with_catalog_write(|cat| {
             cat.table_mut(table, Some(txn.id()))?
-                .rows
-                .insert(rid, new.clone());
+                .put_row(rid, new.clone());
             Ok(())
         })?;
         undo.push(UndoOp::RestoreRow {
@@ -753,11 +779,10 @@ fn delete(
     conditions: &[Condition],
 ) -> Result<QueryResult> {
     let scan = scan_matching(db, Some(txn.id()), table, conditions)?;
-    let pred = query::bind_table_predicate(table, &scan.schema, conditions)?;
     let mut affected = 0u64;
-    for (rid, _) in scan.matches {
+    for rid in scan.rids {
         let current = match lock_and_refetch(db, txn, scan.table_id, rid, scan.schema.arity())? {
-            Some(t) if pred.eval(&t) => t,
+            Some(t) if scan.pred.eval(&t) => t,
             _ => continue,
         };
         // A tombstone header is all deletion takes: stale payload
@@ -770,7 +795,7 @@ fn delete(
             codec::TOMBSTONE,
         )?;
         db.catalog.with_catalog_write(|cat| {
-            cat.table_mut(table, Some(txn.id()))?.rows.remove(&rid);
+            cat.table_mut(table, Some(txn.id()))?.remove_row(rid);
             Ok(())
         })?;
         undo.push(UndoOp::RestoreRow {
@@ -904,6 +929,10 @@ mod tests {
         s.execute("INSERT INTO kv VALUES (5, 'five')").unwrap();
         let r = s.execute("SELECT k FROM kv").unwrap();
         assert_eq!(r.rows.len(), 3);
+        // The reopened catalog indexes `k` on first use.
+        let r = s.execute("SELECT v FROM kv WHERE k = 3").unwrap();
+        assert_eq!(r.rows, vec![vec![Value::Str("THREE".to_string())]]);
+        db.audit_catalog().unwrap();
         eng.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
